@@ -29,6 +29,7 @@ use crossbeam_channel::Sender;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -589,6 +590,7 @@ impl ServerBuilder {
             access,
             stats: Arc::clone(&stats),
             pool: Arc::clone(&shared.pool),
+            any_overflow: Arc::new(AtomicBool::new(false)),
         };
         let dispatcher = Dispatcher::new(core, rx, self.update_interval)
             .with_idle_timeout(self.idle_timeout)

@@ -22,6 +22,7 @@ use af_proto::{
 use af_time::ATime;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -42,6 +43,9 @@ pub struct ServerCore {
     /// Reply/frame buffer pool, shared with the transport layer so reply
     /// buffers drained by writer threads come back to the dispatcher.
     pub pool: Arc<BufferPool>,
+    /// Raised with any client's overflow flag; cleared by the eviction
+    /// scan it triggers.
+    pub any_overflow: Arc<AtomicBool>,
 }
 
 impl ServerCore {
@@ -300,9 +304,10 @@ impl Dispatcher {
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
         tx.send_blocking(reply.encode(order).into());
-        self.core
-            .clients
-            .insert(id, ClientState::new(id, order, tx, kick));
+        self.core.clients.insert(
+            id,
+            ClientState::new(id, order, tx, kick, &self.core.any_overflow),
+        );
         ServerStats::bump(&self.core.stats.clients_total);
         ServerStats::set(
             &self.core.stats.clients_current,
@@ -355,13 +360,17 @@ impl Dispatcher {
         self.remove_client(id);
     }
 
-    /// Evicts every client whose outbound queue overflowed.
+    /// Evicts every client whose outbound queue overflowed.  Cleared
+    /// before the scan, so an overflow raised during it rescans next time.
     fn evict_overflowed(&mut self) {
+        if !self.core.any_overflow.swap(false, Ordering::AcqRel) {
+            return;
+        }
         let ids: Vec<ClientId> = self
             .core
             .clients
             .iter()
-            .filter(|(_, c)| c.overflowed.load(std::sync::atomic::Ordering::Acquire))
+            .filter(|(_, c)| c.overflowed.is_raised())
             .map(|(id, _)| *id)
             .collect();
         for id in ids {

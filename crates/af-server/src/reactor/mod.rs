@@ -8,29 +8,37 @@
 //! level-triggered readiness loop ([`poller::Poller`]: raw `epoll` via the
 //! audited [`sys`] shim, or `poll(2)` fallback) over nonblocking sockets.
 //!
-//! Each shard owns its connections outright: the per-connection read state
-//! machine (setup header → setup tail → frame header → payload, resumable
-//! at any byte boundary across partial reads), and the bounded outbound
-//! queue drained on write readiness.  Framed requests feed the existing
-//! dispatcher event channel, so single-threaded control semantics,
-//! slow-client overflow/eviction, idle timeout, and chaos fault injection
-//! are preserved unchanged from the classic transport.
+//! Each shard owns its connections' read side outright: a per-connection
+//! staging buffer filled by one `read` per readiness event, and a
+//! resumable parse over it (setup header → setup tail → frame header →
+//! payload, resumable at any byte boundary across partial reads).  Framed
+//! requests feed the existing dispatcher event channel, so single-threaded
+//! control semantics, slow-client overflow/eviction, idle timeout, and
+//! chaos fault injection are preserved unchanged from the classic
+//! transport.
 //!
-//! Dispatcher→reactor wakeup protocol (modeled in `loom_models.rs`): a
-//! producer enqueues a reply on the connection's bounded queue, then
-//! atomically swaps the connection's `notified` flag; only the first
-//! producer to set it pushes the connection token onto the shard's pending
-//! queue and writes the self-pipe.  The shard clears `notified` *before*
-//! draining, so a producer racing with the drain re-arms the notification
-//! — no lost wakeup — while the flag keeps redundant tokens (and redundant
-//! drains) bounded at one per drain cycle.
+//! Reply path (modeled in `loom_models.rs`): the thread that produces a
+//! reply — the dispatcher or an audio worker — pushes it onto the
+//! connection's bounded queue and then writes the queue into the
+//! nonblocking socket itself, under the connection's writer lock taken
+//! with `try_lock`.  Only when that cannot finish in place — a short
+//! write, `EWOULDBLOCK`, or the lock held by another thread — does the
+//! producer hand the connection to its shard: it swaps the connection's
+//! `notified` flag, and only the first producer to set it pushes the
+//! connection token onto the shard's pending queue and writes the
+//! self-pipe.  The shard clears `notified` *before* draining and arms
+//! write interest while a partial write is outstanding.  A producer that
+//! held the lock checks the queue again after releasing it, so a reply
+//! pushed while the lock was busy always has either a lock holder or a
+//! pending wake.
 //!
 //! Backpressure parity: a shard blocks on the bounded dispatcher channel
 //! exactly where a classic reader thread would, which stops reading that
 //! shard's sockets — TCP backpressure to the clients.  Fault injection
-//! note: `ChaosStream` delays sleep on the shard thread, stalling that
-//! shard's connections collectively; chaos plans are a test-only feature
-//! and the tests account for it.
+//! note: `ChaosStream` read delays sleep on the shard thread, stalling
+//! that shard's connections collectively, and write delays sleep on the
+//! thread writing the reply; chaos plans are a test-only feature and the
+//! tests account for it.
 
 pub mod poller;
 pub mod sys;
@@ -71,6 +79,11 @@ const UNASSIGNED_TOKEN: u64 = u64::MAX;
 /// one firehose client cannot starve its shard siblings (level-triggered
 /// polling re-reports the fd immediately).
 const FRAME_BUDGET: u32 = 64;
+
+/// Size of each connection's read staging buffer.  One `read` per
+/// readiness event fills it, and frames are parsed out of it; a payload
+/// larger than this is read straight into its pooled frame buffer.
+const STAGING_BYTES: usize = 4096;
 
 /// Chunks gathered into one vectored write on a broadcast listener.
 const BCAST_BATCH: usize = 8;
@@ -203,23 +216,22 @@ impl Waker {
     }
 }
 
-/// The producer half of the dispatcher→reactor wakeup protocol, cloned
-/// into every [`OutboundTx`] targeting a reactor-owned connection.
-#[derive(Clone)]
-pub struct ConnNotify {
-    token: Arc<AtomicU64>,
-    notified: Arc<AtomicBool>,
+/// The wakeup half of the reply path: hands a connection whose reply
+/// could not be written in place to its owning shard.
+struct ConnNotify {
+    token: AtomicU64,
+    notified: AtomicBool,
     pending: Sender<u64>,
     sweep: Arc<AtomicBool>,
     waker: Waker,
 }
 
 impl ConnNotify {
-    /// Signals the owning shard that the connection's outbound queue has
-    /// new data.  Must be called *after* the queue push (the shard clears
-    /// `notified` before draining, so this ordering is what makes a
-    /// racing push visible — see the module docs and the loom model).
-    pub fn wake(&self) {
+    /// Signals the owning shard that the connection needs a flush.  Must
+    /// be called *after* the queue push (the shard clears `notified`
+    /// before draining, so this ordering is what makes a racing push
+    /// visible — see the module docs and the loom model).
+    fn wake(&self) {
         if !self.notified.swap(true, Ordering::AcqRel) {
             let token = self.token.load(Ordering::Acquire);
             if token == UNASSIGNED_TOKEN || self.pending.try_send(token).is_err() {
@@ -232,6 +244,137 @@ impl ConnNotify {
     }
 }
 
+/// One connection's socket, shared by the shard's read half, the reply
+/// writer and the dispatcher's kick.  All three use the same fd, so a
+/// `shutdown` from any of them reaches the peer at once, and the fd
+/// closes only when the last holder drops it.
+#[derive(Clone)]
+struct SockRef(Arc<RawStream>);
+
+impl SockRef {
+    fn shutdown(&self) {
+        let _ = match &*self.0 {
+            RawStream::Tcp(s) => s.shutdown(Shutdown::Both),
+            RawStream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for SockRef {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match &*self.0 {
+            RawStream::Tcp(s) => (&mut &*s).read(buf),
+            RawStream::Unix(s) => (&mut &*s).read(buf),
+        }
+    }
+}
+
+impl Write for SockRef {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match &*self.0 {
+            RawStream::Tcp(s) => (&mut &*s).write(buf),
+            RawStream::Unix(s) => (&mut &*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The write half of a connection, behind [`ConnOutbound::writer`].
+struct ConnWriter {
+    io: Box<dyn ShardIo>,
+    /// An outbound message mid-write: `(buffer, bytes already written)`.
+    /// While set, only the shard writes (on write readiness).
+    partial: Option<(PooledBuf, usize)>,
+    /// A write failed; the shard closes the connection.
+    failed: bool,
+}
+
+/// Where a [`ConnWriter::drain`] stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drain {
+    /// The queue is empty and every message is fully written.
+    Idle,
+    /// The socket refused bytes: a partial write is outstanding.
+    Stalled,
+    /// The connection is dead.
+    Failed,
+}
+
+impl ConnWriter {
+    /// Writes queued messages in FIFO order until the queue is empty or
+    /// the socket refuses bytes.  A short write counts as a refusal: the
+    /// next write would only return `EWOULDBLOCK`.
+    fn drain(&mut self, queue: &Receiver<PooledBuf>, stats: &ReactorShardStats) -> Drain {
+        if self.failed {
+            // Recycle what is still queued; nothing will write it.
+            while queue.try_recv().is_ok() {}
+            return Drain::Failed;
+        }
+        loop {
+            if self.partial.is_none() {
+                match queue.try_recv() {
+                    Ok(buf) => self.partial = Some((buf, 0)),
+                    Err(_) => return Drain::Idle,
+                }
+            }
+            let Some((buf, off)) = self.partial.as_mut() else {
+                return Drain::Idle;
+            };
+            match self.io.write(&buf[*off..]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    *off += n;
+                    if *off < buf.len() {
+                        return Drain::Stalled;
+                    }
+                    self.partial = None; // Drop recycles the pooled buffer.
+                    stats.replies.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Drain::Stalled,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.failed = true;
+        self.partial = None;
+        Drain::Failed
+    }
+}
+
+/// The shared reply path of one reactor connection, referenced by every
+/// [`OutboundTx`] that targets it and by the owning shard.
+pub(crate) struct ConnOutbound {
+    queue: Receiver<PooledBuf>,
+    writer: parking_lot::Mutex<ConnWriter>,
+    notify: ConnNotify,
+    stats: Arc<ReactorShardStats>,
+}
+
+impl ConnOutbound {
+    /// The producer's write-through, called after every queue push: write
+    /// the queue into the socket on this thread, and hand the connection
+    /// to its shard only when that cannot finish here.
+    pub(crate) fn write_through(&self) {
+        let Some(mut writer) = self.writer.try_lock() else {
+            // Another thread is writing; it rechecks the queue after
+            // unlocking, and this wake covers the shard holding it.
+            self.notify.wake();
+            return;
+        };
+        let done =
+            writer.partial.is_none() && writer.drain(&self.queue, &self.stats) == Drain::Idle;
+        drop(writer);
+        // Recheck after unlock: a reply pushed while the lock was held
+        // here found it busy and may rely on this thread to see it.
+        if !done || !self.queue.is_empty() {
+            self.notify.wake();
+        }
+    }
+}
+
 /// Byte streams a shard can own: anything readable/writable off-thread.
 pub trait ShardIo: Read + Write + Send {}
 impl<T: Read + Write + Send> ShardIo for T {}
@@ -239,14 +382,13 @@ impl<T: Read + Write + Send> ShardIo for T {}
 /// A connection handed to its owning shard for registration.
 struct NewConn {
     io: Box<dyn ShardIo>,
+    sock: SockRef,
     fd: RawFd,
     id: ClientId,
     peer: Option<IpAddr>,
-    outbound: Receiver<PooledBuf>,
+    out: Arc<ConnOutbound>,
     otx: OutboundTx,
     kick: ConnKick,
-    token_cell: Arc<AtomicU64>,
-    notified: Arc<AtomicBool>,
 }
 
 /// A broadcast listener socket handed to its owning shard.
@@ -279,15 +421,12 @@ struct ReactorShared {
 
 /// Where the connection's resumable read state machine stands.
 enum ReadPhase {
-    /// Collecting the fixed setup-message header.
-    SetupHeader {
-        buf: [u8; ConnSetup::HEADER_SIZE],
-        have: usize,
-    },
+    /// Waiting for the fixed setup-message header to be staged.
+    SetupHeader,
     /// Collecting the setup tail (`buf` holds header + zeroed tail).
     SetupTail { buf: Vec<u8>, have: usize },
-    /// Collecting a 4-byte request frame header.
-    Header { buf: [u8; 4], have: usize },
+    /// Waiting for a 4-byte request frame header to be staged.
+    Header,
     /// Collecting a frame payload into a pooled buffer.
     Payload {
         opcode: u8,
@@ -296,22 +435,76 @@ enum ReadPhase {
     },
 }
 
+/// Bytes read from a connection but not yet parsed: `buf[lo..hi]`.
+struct Staging {
+    buf: Box<[u8]>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Staging {
+    fn staged(&self) -> &[u8] {
+        &self.buf[self.lo..self.hi]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.lo += n;
+        if self.lo == self.hi {
+            self.lo = 0;
+            self.hi = 0;
+        }
+    }
+
+    /// Moves staged bytes into `dst[*have..]`; true once `dst` is full.
+    fn fill(&mut self, dst: &mut [u8], have: &mut usize) -> bool {
+        let n = (dst.len() - *have).min(self.hi - self.lo);
+        dst[*have..*have + n].copy_from_slice(&self.buf[self.lo..self.lo + n]);
+        *have += n;
+        self.consume(n);
+        *have == dst.len()
+    }
+
+    /// Free space for the next read, after moving the unparsed tail (at
+    /// most a partial header) to the front.
+    fn space(&mut self) -> &mut [u8] {
+        if self.lo > 0 {
+            self.buf.copy_within(self.lo..self.hi, 0);
+            self.hi -= self.lo;
+            self.lo = 0;
+        }
+        &mut self.buf[self.hi..]
+    }
+}
+
 /// One registered connection, owned by exactly one shard.
 struct ConnState {
     io: Box<dyn ShardIo>,
+    sock: SockRef,
     fd: RawFd,
     id: ClientId,
     peer: Option<IpAddr>,
     order: ByteOrder,
     phase: ReadPhase,
-    outbound: Receiver<PooledBuf>,
+    stage: Staging,
+    /// Queued on the shard's backlog: staged frames wait for a visit that
+    /// no readiness event will trigger.
+    backlogged: bool,
+    out: Arc<ConnOutbound>,
     /// The dispatcher's half of the connection, consumed into the
     /// `NewClient` event once setup completes.
     pending_hello: Option<(OutboundTx, ConnKick)>,
-    /// An outbound message mid-write: `(buffer, bytes already written)`.
-    wr: Option<(PooledBuf, usize)>,
-    notified: Arc<AtomicBool>,
     want_write: bool,
+}
+
+impl ConnState {
+    /// Whether a frame (or the setup message) is partly read.
+    fn mid_frame(&self) -> bool {
+        !self.stage.staged().is_empty()
+            || matches!(
+                self.phase,
+                ReadPhase::SetupTail { .. } | ReadPhase::Payload { .. }
+            )
+    }
 }
 
 /// Where a broadcast listener connection stands.
@@ -378,6 +571,16 @@ enum RawStream {
     Unix(UnixStream),
 }
 
+/// What one `parse_step` did.
+enum Step {
+    /// Delivered a request frame to the dispatcher.
+    Frame,
+    /// Moved to the next phase without delivering a frame.
+    Advanced,
+    /// Needs more bytes than are staged.
+    Starved,
+}
+
 /// Why `drive_read` stopped.
 enum ReadOutcome {
     /// Would block: state saved, wait for the next readiness event.
@@ -394,7 +597,7 @@ fn build_conn(
     shared: &ReactorShared,
     stream: RawStream,
     peer: Option<IpAddr>,
-) -> Option<(usize, Box<NewConn>)> {
+) -> (usize, Box<NewConn>) {
     let id = transport.next_id.fetch_add(1, Ordering::Relaxed);
     let target = shared.rr.fetch_add(1, Ordering::Relaxed) % shared.links.len();
     let link = &shared.links[target];
@@ -402,66 +605,59 @@ fn build_conn(
         RawStream::Tcp(s) => s.as_raw_fd(),
         RawStream::Unix(s) => s.as_raw_fd(),
     };
+    let sock = SockRef(Arc::new(stream));
     let kick: ConnKick = {
         let stats = Arc::clone(&link.stats);
-        match &stream {
-            RawStream::Tcp(s) => {
-                let clone = s.try_clone().ok()?;
-                Arc::new(move || {
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    let _ = clone.shutdown(Shutdown::Both);
-                })
-            }
-            RawStream::Unix(s) => {
-                let clone = s.try_clone().ok()?;
-                Arc::new(move || {
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    let _ = clone.shutdown(Shutdown::Both);
-                })
-            }
-        }
+        let sock = sock.clone();
+        Arc::new(move || {
+            stats.evictions.fetch_add(1, Ordering::Relaxed);
+            sock.shutdown();
+        })
     };
-    let io: Box<dyn ShardIo> = match &transport.chaos {
+    let (io, write_io): (Box<dyn ShardIo>, Box<dyn ShardIo>) = match &transport.chaos {
         Some(plan) => {
             // Same per-connection fault derivation as the classic
-            // transport: fork the plan seed by the connection id.
+            // transport: fork the plan seed by the connection id.  Both
+            // halves draw from one fault schedule.
             let mut plan = plan.clone();
             plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
-            match stream {
-                RawStream::Tcp(s) => Box::new(ChaosStream::new(s, plan)),
-                RawStream::Unix(s) => Box::new(ChaosStream::new(s, plan)),
-            }
+            let read_half = ChaosStream::new(sock.clone(), plan);
+            let write_half = read_half.fork(sock.clone());
+            (Box::new(read_half), Box::new(write_half))
         }
-        None => match stream {
-            RawStream::Tcp(s) => Box::new(s),
-            RawStream::Unix(s) => Box::new(s),
-        },
+        None => (Box::new(sock.clone()), Box::new(sock.clone())),
     };
     let (tx, rx) = crossbeam_channel::bounded::<PooledBuf>(OUTBOUND_QUEUE_CAPACITY);
-    let token_cell = Arc::new(AtomicU64::new(UNASSIGNED_TOKEN));
-    let notified = Arc::new(AtomicBool::new(false));
-    let notify = ConnNotify {
-        token: Arc::clone(&token_cell),
-        notified: Arc::clone(&notified),
-        pending: link.pending.clone(),
-        sweep: Arc::clone(&link.sweep),
-        waker: link.waker.clone(),
-    };
-    let otx = OutboundTx::reactor(tx, notify);
-    Some((
+    let out = Arc::new(ConnOutbound {
+        queue: rx,
+        writer: parking_lot::Mutex::new(ConnWriter {
+            io: write_io,
+            partial: None,
+            failed: false,
+        }),
+        notify: ConnNotify {
+            token: AtomicU64::new(UNASSIGNED_TOKEN),
+            notified: AtomicBool::new(false),
+            pending: link.pending.clone(),
+            sweep: Arc::clone(&link.sweep),
+            waker: link.waker.clone(),
+        },
+        stats: Arc::clone(&link.stats),
+    });
+    let otx = OutboundTx::reactor(tx, Arc::clone(&out));
+    (
         target,
         Box::new(NewConn {
             io,
+            sock,
             fd,
             id,
             peer,
-            outbound: rx,
+            out,
             otx,
             kick,
-            token_cell,
-            notified,
         }),
-    ))
+    )
 }
 
 struct Shard {
@@ -488,6 +684,12 @@ struct Shard {
     /// Reusable scratch for the broadcast dirty pass (same rationale as
     /// `wake_scratch`).
     bcast_scratch: Vec<usize>,
+    /// Connections whose frame budget ran out with frames still staged:
+    /// the socket may be empty, so level-triggered polling will not
+    /// report them again, and the shard revisits them before it blocks.
+    backlog: Vec<usize>,
+    /// Reusable scratch for the backlog pass.
+    backlog_scratch: Vec<usize>,
 }
 
 impl Shard {
@@ -505,7 +707,10 @@ impl Shard {
                 break;
             }
             events.clear();
-            if self.poller.wait(&mut events, -1).is_err() {
+            // Staged frames waiting on the backlog must not sleep behind
+            // a blocking wait: poll without blocking, then revisit them.
+            let timeout = if self.backlog.is_empty() { -1 } else { 0 };
+            if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             for ev in &events {
@@ -519,6 +724,7 @@ impl Shard {
                     break;
                 }
             }
+            self.run_backlog();
             self.free.append(&mut self.deferred_free);
         }
         self.close_all();
@@ -534,13 +740,31 @@ impl Shard {
         }
     }
 
+    /// Revisits the connections whose staged frames outlasted their
+    /// frame budget.  Runs after every event batch, so tokens freed in
+    /// the batch are not yet recycled and cannot alias a new connection.
+    fn run_backlog(&mut self) {
+        let mut tokens = std::mem::take(&mut self.backlog_scratch);
+        std::mem::swap(&mut tokens, &mut self.backlog);
+        for &t in &tokens {
+            if let Some(Some(Slot::Conn(c))) = self.slots.get_mut(t) {
+                c.backlogged = false;
+                self.read_conn(t);
+            }
+        }
+        tokens.clear();
+        self.backlog_scratch = tokens;
+    }
+
     fn handle_wake(&mut self) {
         self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
         let mut sink = [0u8; 64];
         loop {
             match (&self.wake_rx).read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
+                // A short read emptied the pipe: no second read to learn
+                // that it would block.
+                Ok(n) if n == sink.len() => continue,
+                Ok(_) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // WouldBlock: pipe drained.
             }
@@ -567,10 +791,11 @@ impl Shard {
                 }
             }
         }
-        // Flush connections with freshly queued outbound data.  Tokens are
-        // drained even when the sweep flag forces a full pass, so stale
-        // entries never accumulate.  The scratch buffer is taken off the
-        // shard and put back so a busy wake never allocates.
+        // Flush connections whose producers could not finish writing
+        // their replies.  Tokens are drained even when the sweep flag
+        // forces a full pass, so stale entries never accumulate.  The
+        // scratch buffer is taken off the shard and put back so a busy
+        // wake never allocates.
         let mut tokens = std::mem::take(&mut self.wake_scratch);
         tokens.clear();
         while let Ok(t) = self.pending.try_recv() {
@@ -632,23 +857,25 @@ impl Shard {
             return; // Dropping the conn closes the socket; the dispatcher
                     // never learned of it, so no event is owed.
         }
-        conn.token_cell.store(token as u64, Ordering::Release);
+        conn.out.notify.token.store(token as u64, Ordering::Release);
         self.stats.accepted.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
         self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
             io: conn.io,
+            sock: conn.sock,
             fd: conn.fd,
             id: conn.id,
             peer: conn.peer,
             order: ByteOrder::Little, // Overwritten when setup completes.
-            phase: ReadPhase::SetupHeader {
-                buf: [0u8; ConnSetup::HEADER_SIZE],
-                have: 0,
+            phase: ReadPhase::SetupHeader,
+            stage: Staging {
+                buf: vec![0u8; STAGING_BYTES].into_boxed_slice(),
+                lo: 0,
+                hi: 0,
             },
-            outbound: conn.outbound,
+            backlogged: false,
+            out: conn.out,
             pending_hello: Some((conn.otx, conn.kick)),
-            wr: None,
-            notified: conn.notified,
             want_write: false,
         })));
     }
@@ -804,9 +1031,7 @@ impl Shard {
     }
 
     fn route_conn(&mut self, stream: RawStream, peer: Option<IpAddr>) {
-        let Some((target, conn)) = build_conn(&self.transport, &self.shared, stream, peer) else {
-            return;
-        };
+        let (target, conn) = build_conn(&self.transport, &self.shared, stream, peer);
         if target == self.index {
             self.register_conn(*conn);
         } else {
@@ -824,58 +1049,39 @@ impl Shard {
     fn flush_token(&mut self, token: u64) {
         let token = token as usize;
         if let Some(Some(Slot::Conn(c))) = self.slots.get(token) {
-            c.notified.store(false, Ordering::Release);
+            c.out.notify.notified.store(false, Ordering::Release);
             self.flush_conn(token, true);
         }
     }
 
-    /// Drains the connection's outbound queue as far as the socket allows,
-    /// tracking write interest so the poller only watches writability
-    /// while a message is actually stalled.
+    /// Finishes what a producer could not write in place: drains the
+    /// connection's outbound queue as far as the socket allows, tracking
+    /// write interest so the poller only watches writability while a
+    /// message is actually stalled.
     fn flush_conn(&mut self, token: usize, from_notify: bool) {
         let Some(slot) = self.slots.get_mut(token) else {
             return;
         };
-        let Some(Slot::Conn(mut conn)) = slot.take() else {
+        let Some(Slot::Conn(conn)) = slot.take() else {
             return;
         };
-        let mut dead = false;
-        loop {
-            if conn.wr.is_none() {
-                match conn.outbound.try_recv() {
-                    Ok(buf) => conn.wr = Some((buf, 0)),
-                    Err(_) => break, // Queue empty (or dispatcher gone with
-                                     // nothing queued): nothing to write.
-                }
-            }
-            let Some((buf, off)) = conn.wr.as_mut() else {
-                break;
-            };
-            match conn.io.write(&buf[*off..]) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    *off += n;
-                    if *off == buf.len() {
-                        conn.wr = None; // Drop recycles the pooled buffer.
-                        self.stats.replies.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            self.close_conn(token, conn, None);
+        let Some(drained) = conn
+            .out
+            .writer
+            .try_lock()
+            .map(|mut w| w.drain(&conn.out.queue, &self.stats))
+        else {
+            // A producer holds the writer: it rechecks the queue after
+            // unlocking and wakes this shard if anything is left.
+            self.slots[token] = Some(Slot::Conn(conn));
+            return;
+        };
+        if drained == Drain::Failed {
+            self.close_conn(token, *conn, None);
             return;
         }
-        let want = conn.wr.is_some();
+        let mut conn = conn;
+        let want = drained == Drain::Stalled;
         if want != conn.want_write {
             let interest = if want {
                 Interest::ReadWrite
@@ -891,7 +1097,7 @@ impl Shard {
             } else if from_notify || want {
                 // Cannot arm write interest: the stalled message would
                 // never drain, so fail the connection instead of wedging.
-                self.close_conn(token, conn, None);
+                self.close_conn(token, *conn, None);
                 return;
             }
         }
@@ -1154,114 +1360,153 @@ impl Shard {
         let Some(Slot::Conn(mut conn)) = slot.take() else {
             return;
         };
-        match self.drive_read(&mut conn) {
+        match self.drive_read(token, &mut conn) {
             ReadOutcome::Park => self.slots[token] = Some(Slot::Conn(conn)),
-            ReadOutcome::Close => self.close_conn(token, conn, None),
-            ReadOutcome::Protocol(e) => self.close_conn(token, conn, Some(e)),
+            ReadOutcome::Close => self.close_conn(token, *conn, None),
+            ReadOutcome::Protocol(e) => self.close_conn(token, *conn, Some(e)),
         }
     }
 
     /// Advances the connection's read state machine until the socket
-    /// would block, the frame budget is spent, or the connection dies.
-    fn drive_read(&mut self, conn: &mut ConnState) -> ReadOutcome {
+    /// is drained, the frame budget is spent, or the connection dies.
+    /// Each read fills the staging buffer (or a large payload directly);
+    /// a read that returns less than it asked for drained the socket, so
+    /// the connection parks without a second read to see `EWOULDBLOCK`.
+    fn drive_read(&mut self, token: usize, conn: &mut ConnState) -> ReadOutcome {
         let mut budget = FRAME_BUDGET;
+        let mut fresh = false; // Bytes arrived since the last parse.
+        let mut drained = false; // The last read came up short.
         loop {
-            // Fill the current phase's buffer with one read call.
-            let complete = {
-                let (dst, have): (&mut [u8], &mut usize) = match &mut conn.phase {
-                    ReadPhase::SetupHeader { buf, have } => (&mut buf[..], have),
-                    ReadPhase::SetupTail { buf, have } => (&mut buf[..], have),
-                    ReadPhase::Header { buf, have } => (&mut buf[..], have),
-                    ReadPhase::Payload { buf, have, .. } => (&mut buf[..], have),
-                };
-                if *have < dst.len() {
-                    match conn.io.read(&mut dst[*have..]) {
-                        Ok(0) => return ReadOutcome::Close, // EOF.
-                        Ok(n) => {
-                            *have += n;
-                            *have == dst.len()
+            // Parse everything staged so far.
+            let starved = loop {
+                match self.parse_step(conn) {
+                    Ok(Step::Frame) => {
+                        budget -= 1;
+                        if budget == 0 {
+                            break false;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return ReadOutcome::Park;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => return ReadOutcome::Close,
                     }
-                } else {
-                    true // Zero-length payload: complete without reading.
+                    Ok(Step::Advanced) => {}
+                    Ok(Step::Starved) => break true,
+                    Err(out) => return out,
                 }
             };
-            if !complete {
+            if fresh && starved && conn.mid_frame() {
                 self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
-                continue;
             }
-            // Phase complete: advance the state machine.
-            let done = std::mem::replace(
-                &mut conn.phase,
-                ReadPhase::Header {
-                    buf: [0u8; 4],
+            if !starved {
+                if !conn.stage.staged().is_empty() && !conn.backlogged {
+                    // The staged frames may be all there is: level-
+                    // triggered polling will not report the socket again.
+                    conn.backlogged = true;
+                    self.backlog.push(token);
+                }
+                return ReadOutcome::Park;
+            }
+            if drained {
+                return ReadOutcome::Park;
+            }
+            // Read more: straight into a payload too large to stage,
+            // otherwise into the staging buffer.
+            let (dst, have) = match &mut conn.phase {
+                ReadPhase::SetupTail { buf, have } if buf.len() - *have > STAGING_BYTES => {
+                    (&mut buf[*have..], Some(have))
+                }
+                ReadPhase::Payload { buf, have, .. } if buf.len() - *have > STAGING_BYTES => {
+                    (&mut buf[*have..], Some(have))
+                }
+                _ => (conn.stage.space(), None),
+            };
+            let asked = dst.len();
+            match conn.io.read(dst) {
+                Ok(0) => return ReadOutcome::Close, // EOF.
+                Ok(n) => {
+                    match have {
+                        Some(have) => *have += n,
+                        None => conn.stage.hi += n,
+                    }
+                    fresh = true;
+                    drained = n < asked;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Park,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Close,
+            }
+        }
+    }
+
+    /// Takes one step of the read state machine over the staged bytes.
+    fn parse_step(&mut self, conn: &mut ConnState) -> Result<Step, ReadOutcome> {
+        match &mut conn.phase {
+            ReadPhase::SetupHeader => {
+                let Some(header) = conn.stage.staged().get(..ConnSetup::HEADER_SIZE) else {
+                    return Ok(Step::Starved);
+                };
+                let Ok(tail_len) = ConnSetup::tail_len(header) else {
+                    return Err(ReadOutcome::Close); // Garbage setup.
+                };
+                // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
+                let mut setup = header.to_vec();
+                conn.stage.consume(ConnSetup::HEADER_SIZE);
+                if tail_len == 0 {
+                    self.finish_setup(conn, setup)?;
+                } else {
+                    setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
+                    conn.phase = ReadPhase::SetupTail {
+                        buf: setup,
+                        have: ConnSetup::HEADER_SIZE,
+                    };
+                }
+                Ok(Step::Advanced)
+            }
+            ReadPhase::SetupTail { buf, have } => {
+                if !conn.stage.fill(&mut buf[..], have) {
+                    return Ok(Step::Starved);
+                }
+                let setup = std::mem::take(buf);
+                self.finish_setup(conn, setup)?;
+                Ok(Step::Advanced)
+            }
+            ReadPhase::Header => {
+                let Some(&[a, b, c, d]) = conn.stage.staged().get(..4) else {
+                    return Ok(Step::Starved);
+                };
+                let (opcode, payload_len) =
+                    decode_frame_header(conn.order, [a, b, c, d]).map_err(ReadOutcome::Protocol)?;
+                conn.stage.consume(4);
+                conn.phase = ReadPhase::Payload {
+                    opcode,
+                    buf: self.transport.pool.take_filled(payload_len),
                     have: 0,
-                },
-            );
-            match done {
-                ReadPhase::SetupHeader { buf, .. } => {
-                    let Ok(tail_len) = ConnSetup::tail_len(&buf) else {
-                        return ReadOutcome::Close; // Garbage setup.
-                    };
-                    if tail_len == 0 {
-                        // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                        if let Err(out) = self.finish_setup(conn, buf.to_vec()) {
-                            return out;
-                        }
-                    } else {
-                        // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                        let mut setup = buf.to_vec();
-                        setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
-                        conn.phase = ReadPhase::SetupTail {
-                            buf: setup,
-                            have: ConnSetup::HEADER_SIZE,
-                        };
-                    }
+                };
+                Ok(Step::Advanced)
+            }
+            ReadPhase::Payload { buf, have, .. } => {
+                if !conn.stage.fill(&mut buf[..], have) {
+                    return Ok(Step::Starved);
                 }
-                ReadPhase::SetupTail { buf, .. } => {
-                    if let Err(out) = self.finish_setup(conn, buf) {
-                        return out;
-                    }
+                let ReadPhase::Payload { opcode, buf, .. } =
+                    std::mem::replace(&mut conn.phase, ReadPhase::Header)
+                else {
+                    return Ok(Step::Advanced);
+                };
+                self.stats.frames.fetch_add(1, Ordering::Relaxed);
+                let raw = RawRequest {
+                    opcode,
+                    payload: buf,
+                };
+                // Blocking send: backpressure parity with the classic
+                // reader thread (stalls this shard's socket reads).
+                if self
+                    .transport
+                    .events
+                    // af-analyze: allow(blocking-in-reactor): designed backpressure; a full dispatcher queue must stall this shard's reads
+                    .send(ServerEvent::Request { id: conn.id, raw })
+                    .is_err()
+                {
+                    return Err(ReadOutcome::Close); // Dispatcher gone.
                 }
-                ReadPhase::Header { buf, .. } => match decode_frame_header(conn.order, buf) {
-                    Ok((opcode, payload_len)) => {
-                        conn.phase = ReadPhase::Payload {
-                            opcode,
-                            buf: self.transport.pool.take_filled(payload_len),
-                            have: 0,
-                        };
-                    }
-                    Err(error) => return ReadOutcome::Protocol(error),
-                },
-                ReadPhase::Payload { opcode, buf, .. } => {
-                    self.stats.frames.fetch_add(1, Ordering::Relaxed);
-                    let raw = RawRequest {
-                        opcode,
-                        payload: buf,
-                    };
-                    // Blocking send: backpressure parity with the classic
-                    // reader thread (stalls this shard's socket reads).
-                    if self
-                        .transport
-                        .events
-                        // af-analyze: allow(blocking-in-reactor): designed backpressure; a full dispatcher queue must stall this shard's reads
-                        .send(ServerEvent::Request { id: conn.id, raw })
-                        .is_err()
-                    {
-                        return ReadOutcome::Close; // Dispatcher gone.
-                    }
-                    budget -= 1;
-                    if budget == 0 {
-                        // Level-triggered polling re-reports unread data,
-                        // so parking here just rotates to the next fd.
-                        return ReadOutcome::Park;
-                    }
-                }
+                Ok(Step::Frame)
             }
         }
     }
@@ -1292,20 +1537,21 @@ impl Shard {
         {
             return Err(ReadOutcome::Close);
         }
-        conn.phase = ReadPhase::Header {
-            buf: [0u8; 4],
-            have: 0,
-        };
+        conn.phase = ReadPhase::Header;
         Ok(())
     }
 
     fn close_conn(
         &mut self,
         token: usize,
-        conn: Box<ConnState>,
+        conn: ConnState,
         protocol: Option<crate::transport::FrameError>,
     ) {
         let _ = self.poller.deregister(conn.fd);
+        // The dispatcher and workers still hold the socket through their
+        // `OutboundTx`; shutting it down sends the FIN now rather than
+        // when the last of them lets go.
+        conn.sock.shutdown();
         if let Some(error) = protocol {
             let _ = self
                 .transport
@@ -1323,7 +1569,7 @@ impl Shard {
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_sub(1, Ordering::Relaxed);
         self.deferred_free.push(token);
-        // Dropping `conn` closes the fd and recycles pooled buffers.
+        // Dropping `conn` recycles its pooled buffers.
     }
 
     fn close_all(&mut self) {
@@ -1331,6 +1577,7 @@ impl Shard {
             match slot.take() {
                 Some(Slot::Conn(conn)) => {
                     let _ = self.poller.deregister(conn.fd);
+                    conn.sock.shutdown();
                     let _ = self
                         .transport
                         .events
@@ -1432,6 +1679,8 @@ impl Reactor {
                 wake_scratch: Vec::new(),
                 broadcast: shard_broadcast,
                 bcast_scratch: Vec::new(),
+                backlog: Vec::new(),
+                backlog_scratch: Vec::new(),
             };
             joins.push(
                 std::thread::Builder::new()
@@ -1620,6 +1869,75 @@ mod tests {
             _ => panic!("expected Disconnect"),
         }
         reactor.shutdown();
+    }
+
+    #[test]
+    fn pipelined_frames_outlasting_the_frame_budget_are_all_answered() {
+        // 200 frames in one write fit the staging buffer whole, so one
+        // read empties the socket and the frame budget runs out with
+        // frames still staged.  Level-triggered polling never reports the
+        // empty socket again; only the shard's backlog pass answers them.
+        let (mut reactor, rx, addr) = start(false);
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        let otx = match recv(&rx) {
+            ServerEvent::NewClient { tx, .. } => tx,
+            _ => panic!("expected NewClient"),
+        };
+        let frame = af_proto::Request::GetTime { device: 0 }.encode(ByteOrder::native());
+        let burst: Vec<u8> = frame
+            .iter()
+            .copied()
+            .cycle()
+            .take(frame.len() * 200)
+            .collect();
+        sock.write_all(&burst).unwrap();
+        for i in 0..200u32 {
+            match recv(&rx) {
+                ServerEvent::Request { raw, .. } => {
+                    assert_eq!(raw.opcode, af_proto::Opcode::GetTime.to_wire());
+                    assert!(otx.try_send(i.to_le_bytes().to_vec().into()).is_ok());
+                }
+                _ => panic!("expected Request {i}"),
+            }
+        }
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = vec![0u8; 4 * 200];
+        sock.read_exact(&mut got).unwrap();
+        for (i, reply) in got.chunks(4).enumerate() {
+            assert_eq!(reply, (i as u32).to_le_bytes(), "reply {i} out of order");
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn shard_close_sends_fin_while_the_dispatcher_holds_the_writer() {
+        // The dispatcher's `OutboundTx` and kick keep the socket referenced
+        // after the shard drops the connection; the client must still see
+        // EOF at once, on the plain and the fault-injecting (forked) path.
+        for chaos in [None, Some(af_chaos::StreamFaultPlan::new(11))] {
+            let (tx, rx) = crossbeam_channel::unbounded();
+            let shared = TransportShared::with_chaos(tx, chaos);
+            let mut reactor = Reactor::spawn(shared, 2, false).unwrap();
+            let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            let held = match recv(&rx) {
+                ServerEvent::NewClient { tx, kick, .. } => (tx, kick),
+                _ => panic!("expected NewClient"),
+            };
+            sock.write_all(&[0, 0, 33, 0]).unwrap(); // Zero-length frame.
+            sock.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            let mut buf = [0u8; 16];
+            match sock.read(&mut buf) {
+                Ok(0) => {}
+                other => panic!("expected EOF within 1 s, got {other:?}"),
+            }
+            // Replies to the dead connection are dropped, not stranded.
+            assert!(held.0.try_send(vec![1u8; 8].into()).is_ok());
+            reactor.shutdown();
+            drop(held);
+        }
     }
 
     #[test]

@@ -414,6 +414,36 @@ pub struct Blocked {
     pub op: BlockedOp,
 }
 
+/// A client's outbound-overflow flag.  Raising it also raises a
+/// server-wide flag, so the dispatcher scans its clients for evictions
+/// only after some producer hit a full queue instead of after every
+/// event (the scan is O(clients)).
+pub struct Overflow {
+    client: AtomicBool,
+    any: Arc<AtomicBool>,
+}
+
+impl Overflow {
+    /// A lowered flag that raises `any` along with itself.
+    pub fn new(any: &Arc<AtomicBool>) -> Arc<Overflow> {
+        Arc::new(Overflow {
+            client: AtomicBool::new(false),
+            any: Arc::clone(any),
+        })
+    }
+
+    /// Marks the client for eviction.
+    pub fn raise(&self) {
+        self.client.store(true, Ordering::Release);
+        self.any.store(true, Ordering::Release);
+    }
+
+    /// Whether the client is marked for eviction.
+    pub fn is_raised(&self) -> bool {
+        self.client.load(Ordering::Acquire)
+    }
+}
+
 /// Per-connection client state.
 pub struct ClientState {
     /// Connection identifier.
@@ -438,10 +468,10 @@ pub struct ClientState {
     pub kick: ConnKick,
     /// Set when the bounded outbound queue rejected a message: the writer
     /// cannot keep up and the protocol stream is no longer coherent, so
-    /// the client must be evicted (checked after every event).  Shared
+    /// the client must be evicted (after the next event).  Shared
     /// (atomically) with audio-worker reply sinks, which can also hit the
     /// bound.
-    pub overflowed: Arc<AtomicBool>,
+    pub overflowed: Arc<Overflow>,
     /// When the client last sent a request (for idle-connection eviction).
     pub last_activity: Instant,
     /// A sample job for this client is in flight on an audio worker;
@@ -450,8 +480,15 @@ pub struct ClientState {
 }
 
 impl ClientState {
-    /// Creates state for a newly accepted connection.
-    pub fn new(id: ClientId, order: ByteOrder, tx: OutboundTx, kick: ConnKick) -> ClientState {
+    /// Creates state for a newly accepted connection whose overflow also
+    /// raises the server-wide `any_overflow`.
+    pub fn new(
+        id: ClientId,
+        order: ByteOrder,
+        tx: OutboundTx,
+        kick: ConnKick,
+        any_overflow: &Arc<AtomicBool>,
+    ) -> ClientState {
         ClientState {
             id,
             order,
@@ -462,7 +499,7 @@ impl ClientState {
             blocked: None,
             queue: VecDeque::new(),
             kick,
-            overflowed: Arc::new(AtomicBool::new(false)),
+            overflowed: Overflow::new(any_overflow),
             last_activity: Instant::now(),
             awaiting_worker: false,
         }
@@ -484,9 +521,7 @@ impl ClientState {
     pub fn send<B: Into<PooledBuf>>(&self, bytes: B) {
         match self.tx.try_send(bytes.into()) {
             Ok(()) => {}
-            Err(crossbeam_channel::TrySendError::Full(_)) => {
-                self.overflowed.store(true, Ordering::Release)
-            }
+            Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }
@@ -614,23 +649,42 @@ mod tests {
     #[test]
     fn client_state_defaults() {
         let (tx, _rx) = crossbeam_channel::unbounded();
-        let c = ClientState::new(1, ByteOrder::Little, OutboundTx::classic(tx), Arc::new(|| {}));
+        let any = Arc::new(AtomicBool::new(false));
+        let c = ClientState::new(
+            1,
+            ByteOrder::Little,
+            OutboundTx::classic(tx),
+            Arc::new(|| {}),
+            &any,
+        );
         assert_eq!(c.mask_for(0), EventMask::NONE);
         assert!(c.blocked.is_none());
         assert!(c.queue.is_empty());
-        assert!(!c.overflowed.load(Ordering::Acquire));
+        assert!(!c.overflowed.is_raised());
         assert!(!c.awaiting_worker);
     }
 
     #[test]
     fn bounded_send_flags_overflow_instead_of_growing() {
         let (tx, rx) = crossbeam_channel::bounded(2);
-        let c = ClientState::new(1, ByteOrder::Little, OutboundTx::classic(tx), Arc::new(|| {}));
+        let any = Arc::new(AtomicBool::new(false));
+        let c = ClientState::new(
+            1,
+            ByteOrder::Little,
+            OutboundTx::classic(tx),
+            Arc::new(|| {}),
+            &any,
+        );
         c.send(vec![1]);
         c.send(vec![2]);
-        assert!(!c.overflowed.load(Ordering::Acquire));
+        assert!(!c.overflowed.is_raised());
+        assert!(!any.load(Ordering::Acquire));
         c.send(vec![3]); // Queue full: flagged, not grown.
-        assert!(c.overflowed.load(Ordering::Acquire));
+        assert!(c.overflowed.is_raised());
+        assert!(
+            any.load(Ordering::Acquire),
+            "the dispatcher must learn of it"
+        );
         assert_eq!(rx.len(), 2, "queue never exceeds its bound");
     }
 }

@@ -20,7 +20,7 @@
 //! TCP and Unix-domain sockets are supported, matching §5.1.
 
 use crate::pool::{BufferPool, PooledBuf};
-use crate::state::{ClientId, ConnKick, RawRequest, ServerEvent};
+use crate::state::{ClientId, ConnKick, Overflow, RawRequest, ServerEvent};
 use af_chaos::{ChaosStream, StreamFaultPlan};
 use af_proto::{message, ByteOrder, ConnSetup, ErrorCode, Reply, WireError, MAX_REQUEST_BYTES};
 use crossbeam_channel::Sender;
@@ -37,42 +37,48 @@ use std::sync::Arc;
 pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
 
 /// The outbound route to one connection: its bounded queue plus, for
-/// reactor-owned connections, the wakeup handle that tells the owning
-/// shard new data is queued.
+/// reactor-owned connections, the shared write half the producer writes
+/// through.
 ///
-/// The classic transport needs no notifier — its writer thread blocks on
-/// the queue — so [`OutboundTx::classic`] carries `None`.  Producers
-/// (dispatcher and audio workers) queue first, then wake; the ordering is
-/// what makes the reactor's clear-before-drain protocol lossless.
+/// The classic transport's writer thread blocks on the queue, so
+/// [`OutboundTx::classic`] carries no write half.  For a reactor
+/// connection the producer (dispatcher or audio worker) queues first and
+/// then writes the queue into the socket itself, waking the owning shard
+/// only when the socket refuses bytes or another thread holds the writer.
 #[derive(Clone)]
 pub struct OutboundTx {
     tx: Sender<PooledBuf>,
-    notify: Option<crate::reactor::ConnNotify>,
+    reactor: Option<Arc<crate::reactor::ConnOutbound>>,
 }
 
 impl OutboundTx {
     /// A route to a classic writer thread (blocking queue consumer).
     pub fn classic(tx: Sender<PooledBuf>) -> OutboundTx {
-        OutboundTx { tx, notify: None }
+        OutboundTx { tx, reactor: None }
     }
 
-    /// A route to a reactor shard, woken through `notify` after pushes.
-    pub(crate) fn reactor(tx: Sender<PooledBuf>, notify: crate::reactor::ConnNotify) -> OutboundTx {
+    /// A route to a reactor connection, written through after pushes.
+    pub(crate) fn reactor(
+        tx: Sender<PooledBuf>,
+        out: Arc<crate::reactor::ConnOutbound>,
+    ) -> OutboundTx {
         OutboundTx {
             tx,
-            notify: Some(notify),
+            reactor: Some(out),
         }
     }
 
-    /// Queues a message without blocking; the caller maps `Full` onto the
-    /// slow-client overflow policy.
+    /// Queues a message without blocking, then writes it through; the
+    /// caller maps `Full` onto the slow-client overflow policy.  The queue
+    /// holds only what the socket has refused, so `Full` means the client
+    /// stopped reading.
     pub fn try_send(
         &self,
         buf: PooledBuf,
     ) -> Result<(), crossbeam_channel::TrySendError<PooledBuf>> {
         self.tx.try_send(buf)?;
-        if let Some(notify) = &self.notify {
-            notify.wake();
+        if let Some(out) = &self.reactor {
+            out.write_through();
         }
         Ok(())
     }
@@ -83,8 +89,8 @@ impl OutboundTx {
     /// client back-pressures into eviction rather than into the caller.
     pub fn send_blocking(&self, buf: PooledBuf) {
         if self.tx.send(buf).is_ok() {
-            if let Some(notify) = &self.notify {
-                notify.wake();
+            if let Some(out) = &self.reactor {
+                out.write_through();
             }
         }
     }
@@ -101,7 +107,7 @@ impl OutboundTx {
 pub struct ReplySink {
     tx: OutboundTx,
     order: ByteOrder,
-    overflowed: Arc<AtomicBool>,
+    overflowed: Arc<Overflow>,
     pool: Arc<BufferPool>,
 }
 
@@ -110,7 +116,7 @@ impl ReplySink {
     pub fn new(
         tx: OutboundTx,
         order: ByteOrder,
-        overflowed: Arc<AtomicBool>,
+        overflowed: Arc<Overflow>,
         pool: Arc<BufferPool>,
     ) -> ReplySink {
         ReplySink {
@@ -147,9 +153,7 @@ impl ReplySink {
     fn push(&self, buf: PooledBuf) {
         match self.tx.try_send(buf) {
             Ok(()) => {}
-            Err(crossbeam_channel::TrySendError::Full(_)) => {
-                self.overflowed.store(true, Ordering::Release);
-            }
+            Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }

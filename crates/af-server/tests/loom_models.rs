@@ -17,11 +17,13 @@
 //! 4. per-device `WakeBlocked`: a wake event enqueued after freeing space
 //!    can never be observed before the space is visible (no lost wakeup),
 //!    and it stays scoped to its own device.
-//! 5. dispatcher→reactor wakeup: the reply path pushes to the outbound
-//!    queue and then arms a notify flag that gates the wake-pipe write;
-//!    the shard clears the flag *before* draining.  Invariant: no push is
-//!    ever stranded without a visible wake (no lost wakeup), and a drain
-//!    pass only runs when a wake was actually written (no double-drain).
+//! 5. write-through reply path: a producer pushes a reply, takes the
+//!    connection's writer with a try-lock and writes the queue itself,
+//!    falling back to the shard wakeup when the socket refuses bytes or
+//!    the lock is busy, and rechecking the queue after it unlocks.
+//!    Invariants: every reply is written exactly once and in push order,
+//!    and no reply is ever left with neither a lock holder nor a pending
+//!    wake (no lost wakeup).
 //!
 //! Models must stay tiny (two threads, a handful of operations): the
 //! schedule space is explored exhaustively.
@@ -194,101 +196,180 @@ fn wake_blocked_is_ordered_after_space_free_and_device_scoped() {
     });
 }
 
-/// Scenario 5 — the reactor's dispatcher→shard wakeup protocol.
+/// Scenario 5's shared state: one connection's reply path.
 ///
-/// Producer (the dispatcher's `OutboundTx`): push the reply, then
-/// `notified.swap(true)`; only a false→true transition writes the wake
-/// pipe, so an already-armed flag costs no syscall.  Consumer (the shard's
-/// `handle_wake`): consume the pipe, clear `notified` *before* draining
-/// the queue — anything pushed after the clear re-arms the flag and
-/// writes the pipe again.  Invariants: every push is drained once the
-/// trailing wake is honored (no lost wakeup), and drain passes never
-/// exceed pipe writes (no double-drain).
-#[test]
-fn reactor_wakeup_protocol_loses_no_wakeups() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let notified = Arc::new(AtomicBool::new(false));
-        let pipe = Arc::new(AtomicUsize::new(0)); // bytes in the wake pipe
+/// The queue and the wakeup (`notified` flag plus self-pipe bytes) are
+/// model atomics and mutexes, so every access is a scheduling point.  The
+/// writer lock is a flag taken only by compare-exchange — a try-lock, as
+/// in the server.  What it guards (the outstanding partial write and the
+/// socket) is plain std state touched only by the lock holder, or by the
+/// model thread after every other thread has joined.
+struct ReplyPath {
+    /// Queued replies, plus every reply in push order.
+    queue: Mutex<(VecDeque<u32>, Vec<u32>)>,
+    writer: AtomicBool,
+    /// A reply the socket refused; while set, only the shard writes.
+    partial: std::sync::Mutex<Option<u32>>,
+    /// Replies the socket still takes before it refuses bytes.
+    room: std::sync::atomic::AtomicUsize,
+    /// What reached the peer, in order.
+    written: std::sync::Mutex<Vec<u32>>,
+    notified: AtomicBool,
+    /// Unread self-pipe bytes.
+    pipe: AtomicUsize,
+    /// Whether a producer rechecks the queue after unlocking.
+    recheck: bool,
+}
 
-        let producer = {
-            let (queue, notified, pipe) = (queue.clone(), notified.clone(), pipe.clone());
+impl ReplyPath {
+    fn new(room: usize, recheck: bool) -> ReplyPath {
+        ReplyPath {
+            queue: Mutex::new((VecDeque::new(), Vec::new())),
+            writer: AtomicBool::new(false),
+            partial: std::sync::Mutex::new(None),
+            room: std::sync::atomic::AtomicUsize::new(room),
+            written: std::sync::Mutex::new(Vec::new()),
+            notified: AtomicBool::new(false),
+            pipe: AtomicUsize::new(0),
+            recheck,
+        }
+    }
+
+    fn push(&self, reply: u32) {
+        let mut q = self.queue.lock().unwrap();
+        q.0.push_back(reply);
+        q.1.push(reply);
+    }
+
+    fn try_lock(&self) -> bool {
+        self.writer
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    fn unlock(&self) {
+        self.writer.store(false, Ordering::SeqCst);
+    }
+
+    fn stalled(&self) -> bool {
+        self.partial.lock().unwrap().is_some()
+    }
+
+    /// Lock held: writes the partial reply, then the queue, in order,
+    /// until the socket refuses bytes.  Returns true on a stall.
+    fn drain(&self) -> bool {
+        loop {
+            let held = self.partial.lock().unwrap().take();
+            let Some(reply) = held.or_else(|| self.queue.lock().unwrap().0.pop_front()) else {
+                return false;
+            };
+            let room = self.room.load(std::sync::atomic::Ordering::SeqCst);
+            if room == 0 {
+                *self.partial.lock().unwrap() = Some(reply);
+                return true;
+            }
+            self.room
+                .store(room - 1, std::sync::atomic::Ordering::SeqCst);
+            self.written.lock().unwrap().push(reply);
+        }
+    }
+
+    /// `ConnNotify::wake`: only the false→true edge writes the pipe.
+    fn wake(&self) {
+        if !self.notified.swap(true, Ordering::SeqCst) {
+            self.pipe.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `ConnOutbound::write_through`, run after every push.
+    fn write_through(&self) {
+        if !self.try_lock() {
+            self.wake();
+            return;
+        }
+        let done = !self.stalled() && !self.drain();
+        self.unlock();
+        if !done || (self.recheck && !self.queue.lock().unwrap().0.is_empty()) {
+            self.wake();
+        }
+    }
+
+    /// One shard pass: a pipe byte means flush (clearing `notified`
+    /// first); otherwise armed write interest means the socket is
+    /// writable again.  A busy lock is left to its holder's recheck.
+    fn shard_round(&self, want_write: &mut bool) {
+        if self.pipe.swap(0, Ordering::SeqCst) > 0 {
+            self.notified.store(false, Ordering::SeqCst);
+        } else if !*want_write {
+            return;
+        }
+        if self.try_lock() {
+            *want_write = self.drain();
+            self.unlock();
+        }
+    }
+
+    fn unwritten(&self) -> bool {
+        self.stalled() || !self.queue.lock().unwrap().0.is_empty()
+    }
+}
+
+/// Runs scenario 5 with two producers (a worker thread and the model
+/// thread) racing one shard pass.  The socket takes one reply and then
+/// refuses bytes until the peer reads, after every producer is done.
+fn write_through_model(recheck: bool) {
+    loom::model(move || {
+        let path = Arc::new(ReplyPath::new(1, recheck));
+        let worker = {
+            let path = path.clone();
             loom::thread::spawn(move || {
-                for reply in [1u32, 2] {
-                    queue.lock().unwrap().push_back(reply);
-                    if !notified.swap(true, Ordering::SeqCst) {
-                        pipe.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
+                path.push(1);
+                path.write_through();
             })
         };
+        path.push(2);
+        path.write_through();
+        let mut want_write = false;
+        path.shard_round(&mut want_write);
+        worker.join().expect("worker thread");
 
-        // The shard's poll loop, two readiness rounds plus the trailing
-        // round the real reactor gets because an unconsumed pipe byte
-        // keeps the wake fd readable.
-        let mut drained = 0;
-        let mut drains = 0;
-        let shard_round = |drained: &mut u32, drains: &mut u32| {
-            if pipe.swap(0, Ordering::SeqCst) > 0 {
-                // Clear-before-drain: a push racing with this drain sees
-                // the cleared flag and writes the pipe again.
-                notified.store(false, Ordering::SeqCst);
-                *drains += 1;
-                while queue.lock().unwrap().pop_front().is_some() {
-                    *drained += 1;
-                }
-            }
-        };
-        shard_round(&mut drained, &mut drains);
-        shard_round(&mut drained, &mut drains);
-        producer.join().expect("producer thread");
-        shard_round(&mut drained, &mut drains);
+        // Quiescent: no lock holder is left, so anything unwritten must
+        // have a pending wake — a pipe byte or armed write interest.
+        assert!(
+            !path.unwritten() || path.pipe.load(Ordering::SeqCst) > 0 || want_write,
+            "reply stranded with neither a lock holder nor a pending wake"
+        );
 
-        assert_eq!(drained, 2, "lost wakeup: {drained}/2 replies drained");
-        assert!(drains <= 2, "double-drain: {drains} passes for ≤2 wakes");
+        // The peer reads; the shard's remaining passes finish the job.
+        path.room.store(8, std::sync::atomic::Ordering::SeqCst);
+        for _ in 0..2 {
+            path.shard_round(&mut want_write);
+        }
+        let pushed = path.queue.lock().unwrap().1.clone();
+        let written = path.written.lock().unwrap().clone();
+        assert_eq!(written, pushed, "replies lost, duplicated or reordered");
     });
 }
 
-/// The inverse of scenario 5 — notifying *before* pushing (the classic
-/// lost-wakeup bug) must strand a reply under some interleaving.
+/// Scenario 5 — the write-through reply path (`ConnOutbound` in
+/// src/reactor/mod.rs): producer try-lock plus recheck after unlock, a
+/// shard drain, and a socket that refuses bytes.  Every reply is written
+/// exactly once, in push order, and none is stranded.
 #[test]
-fn shim_catches_notify_before_push_bug() {
-    let failed = catch_unwind(AssertUnwindSafe(|| {
-        loom::model(|| {
-            let queue = Arc::new(Mutex::new(VecDeque::new()));
-            let notified = Arc::new(AtomicBool::new(false));
-            let pipe = Arc::new(AtomicUsize::new(0));
+fn write_through_reply_path_strands_no_reply() {
+    write_through_model(true);
+}
 
-            let producer = {
-                let (queue, notified, pipe) = (queue.clone(), notified.clone(), pipe.clone());
-                loom::thread::spawn(move || {
-                    // BUG: wake armed and written before the push lands.
-                    if !notified.swap(true, Ordering::SeqCst) {
-                        pipe.fetch_add(1, Ordering::SeqCst);
-                    }
-                    queue.lock().unwrap().push_back(1u32);
-                })
-            };
-
-            let mut drained = 0;
-            if pipe.swap(0, Ordering::SeqCst) > 0 {
-                notified.store(false, Ordering::SeqCst);
-                while queue.lock().unwrap().pop_front().is_some() {
-                    drained += 1;
-                }
-            }
-            producer.join().expect("producer thread");
-            if pipe.swap(0, Ordering::SeqCst) > 0 {
-                notified.store(false, Ordering::SeqCst);
-                while queue.lock().unwrap().pop_front().is_some() {
-                    drained += 1;
-                }
-            }
-            assert_eq!(drained, 1, "reply stranded with no pending wake");
-        });
-    }))
-    .is_err();
-    assert!(failed, "the seeded notify-before-push bug must be detected");
+/// The inverse of scenario 5 — a producer that unlocks without
+/// rechecking the queue strands a reply pushed while it held the lock
+/// under some interleaving, and the checker must catch it.
+#[test]
+fn shim_catches_unlock_without_recheck_bug() {
+    let failed = catch_unwind(AssertUnwindSafe(|| write_through_model(false))).is_err();
+    assert!(
+        failed,
+        "the seeded unlock-without-recheck bug must be detected"
+    );
 }
 
 /// The shim really explores more than one interleaving: a two-thread model
